@@ -16,11 +16,24 @@ the committed perf snapshot with::
 
 ``BENCH_kernels_seed.json`` preserves the seed-commit numbers the current
 snapshot's ``seed_baseline`` section is computed against.
+
+Written snapshots carry summary statistics only: the per-round samples
+are dropped (see :func:`pytest_benchmark_update_json`).
 """
 
 import os
 
 import pytest
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Drop each benchmark's per-round ``stats["data"]`` samples.
+
+    ``check_regression.py`` reads only medians and ``extra_info``; the raw
+    rounds made the committed snapshots megabytes of noise.
+    """
+    for bench in output_json["benchmarks"]:
+        bench["stats"].pop("data", None)
 
 
 @pytest.fixture(scope="session")

@@ -58,13 +58,19 @@ class FeinbergOperator:
         self.anchor = matrix_anchor_exponent(self.A.data)  # global fallback
         n_cols = self.A.shape[1]
         if block_b is None:
-            self._per_elem_anchor = np.full(n_cols, self.anchor, dtype=np.int64)
+            # One window for every column: the scalar anchor broadcasts for
+            # free inside the conversion.
+            self._per_elem_anchor = self.anchor
         else:
-            _, exp, _ = ieee.decompose(self.A.data)
+            # Zero entries report field 0, i.e. an anchor below the normal
+            # range, under which the window passes nothing (as the sentinel
+            # exponent of a decomposed zero did).
+            exp = (ieee.exponent_field(self.A.data).astype(np.int64)
+                   - ieee.EXP_BIAS)
             seg = self.A.indices.astype(np.int64) >> block_b
             nseg = -(-n_cols // (1 << block_b))
             anchors = np.full(nseg, np.iinfo(np.int32).min, dtype=np.int64)
-            np.maximum.at(anchors, seg, exp.astype(np.int64))
+            np.maximum.at(anchors, seg, exp)
             # Columns with no entries: anchor irrelevant, use the global one.
             anchors = np.where(anchors == np.iinfo(np.int32).min,
                                self.anchor, anchors)
@@ -82,8 +88,10 @@ class FeinbergOperator:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D (n, k), got shape {X.shape}")
-        Xq = quantize_vector_feinberg(X, self._per_elem_anchor[:, None],
-                                      self.spec)
+        anchor = self._per_elem_anchor
+        if self.block_b is not None:
+            anchor = anchor[:, None]
+        Xq = quantize_vector_feinberg(X, anchor, self.spec)
         return self.A @ Xq
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:

@@ -84,6 +84,7 @@ class SolveService:
         handler = type("_BoundHandler", (_Handler,), {"service": self})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
+        self._serving = False
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
@@ -97,18 +98,22 @@ class SolveService:
     def serve_forever(self, poll_interval: float = 0.05) -> None:
         # A tight poll keeps shutdown latency low; the poll is a cheap
         # selector timeout, not a busy wait.
+        self._serving = True
         self._httpd.serve_forever(poll_interval=poll_interval)
 
     def shutdown(self) -> None:
         """Stop ``serve_forever`` (threadsafe; in-flight requests finish)."""
-        self._httpd.shutdown()
+        # socketserver's shutdown() waits for serve_forever to acknowledge,
+        # so it would block forever on a server that was never served.
+        if self._serving:
+            self._httpd.shutdown()
 
     def close(self) -> None:
         """Flush the coalescers, release the socket, restore the config."""
         if self._closed:
             return
         self._closed = True
-        self._httpd.shutdown()
+        self.shutdown()
         self._vector.close()
         self._engine.close()
         self._httpd.server_close()

@@ -1,12 +1,18 @@
 """Tests for the Feinberg [32] vector-window model."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.formats import ieee
 from repro.formats.feinberg import (
     FeinbergSpec,
     matrix_anchor_exponent,
     quantize_vector_feinberg,
+    quantize_vector_feinberg_reference,
 )
 
 
@@ -85,3 +91,92 @@ class TestQuantize:
         # exp 1 above the window top wraps exactly 64 binades down.
         q = quantize_vector_feinberg(np.array([2.0]), anchor=0, spec=spec)
         assert q[0] == 2.0 * 2.0 ** -64
+
+
+# -- bit-level kernel vs the decompose/compose oracle ----------------------
+
+specs = st.builds(
+    FeinbergSpec,
+    exp_bits=st.integers(1, 11),
+    frac_bits=st.one_of(st.sampled_from([0, 4, 52]), st.integers(0, 52)),
+    policy=st.sampled_from(["wrap", "clamp", "flush"]),
+)
+#: Matrix anchors span the normal range; below -959 the default 64-binade
+#: window reaches under it.
+scalar_anchors = st.one_of(st.integers(-1022, 1023), st.integers(-1022, -959))
+#: Per-block-column anchors may also sit below the normal range (a stripe
+#: holding only zero entries).
+elem_anchors = st.one_of(scalar_anchors, st.sampled_from([-1023, ieee.EXP_ZERO]))
+
+
+@st.composite
+def float_bits(draw, anchor, window):
+    """One float64 bit pattern: zero, subnormal, near a window edge or
+    anywhere in the normal range (up to ~2000 binades outside the window)."""
+    top = anchor + ieee.EXP_BIAS
+    near = st.integers(-2 * window - 1, window + 1).map(
+        lambda o: min(max(top + o, 0), 2046))
+    field = draw(st.one_of(st.just(0), st.integers(1, 2046), near))
+    frac = draw(st.one_of(st.just(0), st.integers(0, (1 << 52) - 1)))
+    sign = draw(st.integers(0, 1))
+    return (sign << 63 | field << 52 | frac) - (sign << 64)  # as int64
+
+
+@st.composite
+def window_cases(draw):
+    """``(x, anchor, spec)`` with a scalar or per-element anchor."""
+    spec = draw(specs)
+    n = draw(st.integers(0, 16))
+    if draw(st.booleans()):
+        anchor = draw(scalar_anchors)
+        anchors = [anchor] * n
+    else:
+        anchors = draw(st.lists(elem_anchors, min_size=n, max_size=n))
+        anchor = np.array(anchors, dtype=np.int64)
+    bits = [draw(float_bits(a, spec.window)) for a in anchors]
+    return np.array(bits, dtype=np.int64).view(np.float64), anchor, spec
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBitLevelKernel:
+    @given(window_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_byte_for_byte(self, case):
+        x, anchor, spec = case
+        assert_same_bytes(quantize_vector_feinberg(x, anchor, spec),
+                          quantize_vector_feinberg_reference(x, anchor, spec))
+
+    @given(specs, scalar_anchors, st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_columns_match_vector_calls(self, spec, anchor, k, data):
+        n = data.draw(st.integers(1, 12))
+        per_row = data.draw(st.booleans())
+        rows = (data.draw(st.lists(elem_anchors, min_size=n, max_size=n))
+                if per_row else [anchor] * n)
+        X = np.array([[data.draw(float_bits(a, spec.window))
+                       for _ in range(k)] for a in rows],
+                     dtype=np.int64).view(np.float64)
+        col_anchor = np.array(rows, dtype=np.int64)[:, None] if per_row else anchor
+        vec_anchor = np.array(rows, dtype=np.int64) if per_row else anchor
+        Q = quantize_vector_feinberg(X, col_anchor, spec)
+        assert_same_bytes(Q, quantize_vector_feinberg_reference(
+            X, col_anchor, spec))
+        for j in range(k):
+            assert_same_bytes(Q[:, j],
+                              quantize_vector_feinberg(X[:, j], vec_anchor, spec))
+
+    @given(window_cases(), st.sampled_from([np.inf, -np.inf, np.nan]),
+           st.integers(0, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_nonfinite_raises_like_reference(self, case, bad, at):
+        x, anchor, spec = case
+        x = np.insert(x, min(at, x.size), bad)
+        if np.ndim(anchor):
+            anchor = np.insert(anchor, min(at, anchor.size), 0)
+        for fn in (quantize_vector_feinberg, quantize_vector_feinberg_reference):
+            with pytest.raises(ValueError, match=re.escape(ieee.NONFINITE_MSG)):
+                fn(x, anchor, spec)

@@ -331,6 +331,17 @@ class TestRemoteStoreProtocol:
         assert snap["builds"] >= 1
 
 
+class TestDaemonLifecycle:
+    def test_close_without_serving_returns(self):
+        # Closing a daemon whose serve_forever never ran must not wait for
+        # a serve loop to acknowledge the shutdown.
+        svc = SolveService(port=0)
+        closer = threading.Thread(target=svc.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive(), "close() hung on a never-served daemon"
+
+
 class TestDaemonEndToEnd:
     def test_coalesced_vector_solves_bit_identical_to_serial(self, service):
         svc, client = service
