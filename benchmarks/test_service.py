@@ -4,7 +4,7 @@ Real pytest-benchmark measurements of the solve daemon running in
 process: a burst of same-key vector requests served through the
 coalescer's lockstep matmat batches, the same burst with coalescing
 disabled (singleton batches — the per-request serial path), and the
-lockstep gang solver on its own against the per-column serial loop.
+threadless lockstep solver on its own against the per-column serial loop.
 The coalesced/uncoalesced pair is the service's headline number: the
 work is bit-identical, only the batching differs.
 

@@ -58,6 +58,6 @@ register_solver(
 register_solver(
     "lockstep", spmvs_per_iteration=1, vector_ops_per_iteration=6,
     gpu_vector_kernels_per_iteration=5, multi_rhs=True,
-    description="gang-scheduled per-column solves: one matmat per round, "
-                "bit-identical to solve_many (the service coalescer's "
-                "batch path)")(solve_lockstep)
+    description="per-column solves stepped in lockstep: one matmat per "
+                "round, bit-identical to solve_many (the service "
+                "coalescer's batch path)")(solve_lockstep)

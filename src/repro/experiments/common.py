@@ -76,7 +76,6 @@ import signal
 import threading
 import time
 from collections import OrderedDict, deque
-from collections.abc import Mapping
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -123,8 +122,6 @@ from repro.sparse.blocked import BlockedMatrix
 from repro.sparse.gallery.suite import PAPER_SUITE, resolve_scale, suite_ids
 
 __all__ = [
-    "PLATFORMS",
-    "SOLVERS",
     "ExecutionStats",
     "MatrixRun",
     "SuiteResult",
@@ -141,31 +138,6 @@ __all__ = [
     "clear_run_caches",
     "geometric_mean",
 ]
-
-#: The default sweep grid (back-compat alias; the registry is the source of
-#: truth and holds more platforms than these four).
-PLATFORMS = DEFAULT_PLATFORMS
-
-
-class _SolverCallables(Mapping):
-    """Live name → callable view of the solver registry.
-
-    Keeps the historical ``SOLVERS`` dict API (``SOLVERS["cg"]``,
-    ``sorted(SOLVERS)``) while the registry remains the single source of
-    truth — solvers registered after import show up here immediately.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., SolverResult]:
-        return SOLVER_REGISTRY.get(name).solve
-
-    def __iter__(self):
-        return iter(SOLVER_REGISTRY.names())
-
-    def __len__(self) -> int:
-        return len(SOLVER_REGISTRY)
-
-
-SOLVERS: Mapping = _SolverCallables()
 
 #: In-process cache of full-suite runs, keyed (scale, solver).
 _CACHE: Dict[tuple, Dict[int, "MatrixRun"]] = {}

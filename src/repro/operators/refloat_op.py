@@ -117,9 +117,15 @@ class ReFloatOperator:
         One plan-backed batch conversion plus one sparse SpMM serve every
         right-hand side; column ``j`` is bit-identical to ``matvec(X[:, j])``
         (CSR accumulates each output element over the same index order in
-        both kernels — asserted by the fast-path tests).
+        both kernels — asserted by the fast-path tests).  A single column
+        takes the :meth:`matvec` kernels, which are cheaper than the batch
+        converter plus a one-column SpMM and give the same bytes.
         """
-        Xq, _ = self._plan.convert_batch(np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 2 and X.shape[1] == 1:
+            xq, _ = self._plan.convert(X[:, 0])
+            return (self.A @ xq)[:, None]
+        Xq, _ = self._plan.convert_batch(X)
         return self.A @ Xq
 
     def quantize_input_batch(self, X: np.ndarray, reuse: bool = False) -> np.ndarray:

@@ -12,10 +12,10 @@ surface (stdlib ``http.server``/``http.client`` only — no new deps):
   ``GET``/``PUT /v1/store/<sid>/<scale>`` is the remote asset-store
   protocol.
 - :class:`~repro.service.coalesce.Coalescer` — groups concurrent same-key
-  vector jobs into one lockstep ``matmat`` batch
-  (:func:`~repro.solvers.lockstep.solve_lockstep`), bounded by the batch
-  window and max batch size, with per-request demux and results
-  bit-identical to the per-request serial path.
+  vector jobs into one :func:`~repro.solvers.lockstep.solve_lockstep`
+  call (one solver step generator per job, one ``matmat`` per round),
+  bounded by the batch window and max batch size, with per-request demux
+  and results bit-identical to the per-request serial path.
 - :mod:`~repro.service.wire` — CRC-checked framing of v2 store entries for
   hosts that don't share a filesystem.
 - :class:`~repro.service.client.ServiceClient` — the client half, reusing

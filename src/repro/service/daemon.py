@@ -11,9 +11,11 @@ share one ``POST /v1/solve`` endpoint, distinguished by the payload's
   scheduler — retries, timeouts, pool recovery and dependency-skip all
   inherited.  Results stream back as ``MatrixRun.to_dict()``; structured
   failures come back as ``RunFailure`` records, not hung sockets.
-- ``"VectorJob"`` — one right-hand side.  Same-key jobs coalesce into one
-  lockstep ``matmat`` batch (:mod:`repro.service.coalesce`), bit-identical
-  per column to solving each request on its own.
+- ``"VectorJob"`` — one right-hand side.  Same-key jobs coalesce
+  (:mod:`repro.service.coalesce`) into one threadless
+  :func:`~repro.solvers.lockstep.solve_lockstep` loop over the jobs' solver
+  step generators, one ``matmat`` per round, bit-identical per column to
+  solving each request on its own.
 
 ``GET /v1/stats`` returns the service counters plus the engine/store
 counter snapshots; ``GET /v1/health`` is the liveness probe;
@@ -145,7 +147,7 @@ class SolveService:
                 f"coalescer's job")
         if job.solver not in LOCKSTEP_SOLVERS:
             raise ValueError(
-                f"vector jobs support the gang-schedulable solvers "
+                f"vector jobs support the lockstep solvers "
                 f"{sorted(LOCKSTEP_SOLVERS)}, got {job.solver!r}")
         ensure_variant_platforms((job.platform,))
         pspec = PLATFORM_REGISTRY.get(job.platform)

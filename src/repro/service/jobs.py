@@ -5,8 +5,9 @@ right-hand side for a suite matrix: far lighter than a full
 :class:`~repro.api.specs.RunRequest` (no platform grid, no timing model —
 just "solve ``A x = b`` on this platform and give me ``x``").  Concurrent
 jobs agreeing on :meth:`VectorJob.batch_key` — ``(sid, scale, solver,
-platform, criterion)`` — are what the coalescer merges into one lockstep
-``matmat`` batch.
+platform, criterion)`` — are what the coalescer merges into one
+:func:`~repro.solvers.lockstep.solve_lockstep` batch: one ``matmat`` per
+round over the jobs' solver step generators.
 
 Like the other job objects it is a frozen dataclass of primitives with a
 lossless JSON round-trip (JSON serialises float64 via ``repr``, which

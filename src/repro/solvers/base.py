@@ -6,10 +6,14 @@ ReFloat, in the Feinberg model, or with noise injection — the quantised
 platform *is* the operator (Code 1 of the paper runs unchanged; only the SpMV
 changes).  All vector arithmetic outside the SpMV is FP64, matching the
 accelerator's double-precision MAC units (Fig. 6a).
+
+Each single-RHS Krylov body is written once, as a step generator
+(:func:`step_solver`) that yields every vector it needs multiplied.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, runtime_checkable
 
@@ -27,6 +31,8 @@ __all__ = [
     "check_block_system",
     "check_initial_guess",
     "quiet_fp_errors",
+    "step_solver",
+    "krylov_start",
 ]
 
 
@@ -37,7 +43,6 @@ def quiet_fp_errors(fn):
     overflow before the explicit divergence check fires; the solvers detect
     and report non-finite states themselves, so the global warnings are noise.
     """
-    import functools
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
@@ -46,6 +51,69 @@ def quiet_fp_errors(fn):
             return fn(*args, **kwargs)
 
     return wrapped
+
+
+def step_solver(steps):
+    """Make a single-RHS solver from its step generator.
+
+    ``steps(op, b, ...)`` is the whole Krylov body: each ``y = yield v`` asks
+    for ``A v``, and the generator returns the :class:`SolverResult`.  The
+    solver made here keeps its name, signature and docstring and answers
+    every request with ``op.matvec``; ``solver.steps`` is the generator, for
+    :func:`~repro.solvers.lockstep.solve_lockstep`.  The :func:`quiet_fp_errors`
+    errstate covers the generator's body too: numpy keeps it in a context
+    variable, and a generator runs in the context of whoever resumes it.
+    """
+
+    @functools.wraps(steps)
+    @quiet_fp_errors
+    def solve(A, *args, **kwargs):
+        op = as_operator(A)
+        run = steps(op, *args, **kwargs)
+        try:
+            v = next(run)
+            while True:
+                v = run.send(op.matvec(v))
+        except StopIteration as done:
+            return done.value
+
+    solve.steps = steps
+    return solve
+
+
+def krylov_start(op, b, x0, criterion):
+    """The CG/BiCGSTAB preamble, as a step generator (``yield from`` it).
+
+    Validates the system and builds the initial residual (one apply when
+    ``x0`` is nonzero).  Returns the finished :class:`SolverResult` when
+    there is nothing to iterate, else the start state
+    ``(x, r, r_norm, history, threshold, crit, matvecs)``.
+    """
+    b = check_system(op, b)
+    crit = criterion or ConvergenceCriterion()
+    n = b.size
+    x0 = check_initial_guess(x0, (n,))
+    x = np.zeros(n) if x0 is None else x0
+
+    matvecs = 0
+    if x0 is None or not np.any(x):
+        r = b.copy()
+    else:
+        r = b - (yield x)
+        matvecs += 1
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return SolverResult(x=np.zeros(n), converged=True, iterations=0,
+                            residual_norm=0.0, residual_history=[0.0],
+                            matvecs=matvecs)
+    threshold = crit.threshold(b_norm)
+    r_norm = float(np.linalg.norm(r))
+    history = [r_norm]
+    if r_norm < threshold:
+        return SolverResult(x=x, converged=True, iterations=0,
+                            residual_norm=r_norm, residual_history=history,
+                            matvecs=matvecs)
+    return x, r, r_norm, history, threshold, crit, matvecs
 
 
 @runtime_checkable

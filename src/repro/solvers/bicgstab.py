@@ -2,7 +2,8 @@
 
 Two SpMVs per iteration (the paper: "for BiCGSTAB solver, there are two SpMV
 on the whole matrix" per iteration).  Works for general nonsymmetric systems;
-the evaluation uses it on the same SPD suite as CG, as the paper does.
+the evaluation uses it on the same SPD suite as CG, as the paper does.  The
+body is a step generator (:func:`~repro.solvers.base.step_solver`).
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ import numpy as np
 from repro.solvers.base import (
     ConvergenceCriterion,
     SolverResult,
-    as_operator,
-    check_initial_guess,
-    check_system,
-    quiet_fp_errors,
+    krylov_start,
+    step_solver,
 )
 
 __all__ = ["bicgstab"]
 
 
-@quiet_fp_errors
+@step_solver
 def bicgstab(
     A,
     b,
@@ -34,36 +33,15 @@ def bicgstab(
 ) -> SolverResult:
     """Solve ``A x = b`` by BiCGSTAB.  See :func:`repro.solvers.cg.cg` for the
     parameter/return conventions (identical)."""
-    op = as_operator(A)
-    b = check_system(op, b)
-    crit = criterion or ConvergenceCriterion()
-    n = b.size
-    x0 = check_initial_guess(x0, (n,))
-    x = np.zeros(n) if x0 is None else x0
-
-    matvecs = 0
-    if x0 is None or not np.any(x):
-        r = b.copy()
-    else:
-        r = b - op.matvec(x)
-        matvecs += 1
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolverResult(x=np.zeros(n), converged=True, iterations=0,
-                            residual_norm=0.0, residual_history=[0.0],
-                            matvecs=matvecs)
-    threshold = crit.threshold(b_norm)
-    r_norm = float(np.linalg.norm(r))
-    history = [r_norm]
-    if r_norm < threshold:
-        return SolverResult(x=x, converged=True, iterations=0,
-                            residual_norm=r_norm, residual_history=history,
-                            matvecs=matvecs)
+    start = yield from krylov_start(A, b, x0, criterion)
+    if isinstance(start, SolverResult):
+        return start
+    x, r, r_norm, history, threshold, crit, matvecs = start
 
     r_hat = r.copy()  # shadow residual
     rho_prev = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
+    v = np.zeros_like(x)
+    p = np.zeros_like(x)
 
     def _fail(k: int, why: str) -> SolverResult:
         return SolverResult(x=x, converged=False, iterations=k,
@@ -81,7 +59,7 @@ def bicgstab(
         phat = prec(p)
         if not np.all(np.isfinite(phat)):
             return _fail(k - 1, "non-finite direction")
-        v = op.matvec(phat)
+        v = yield phat
         matvecs += 1
         denom = float(r_hat @ v)
         if not np.isfinite(denom) or denom == 0.0:
@@ -102,7 +80,7 @@ def bicgstab(
         shat = prec(s)
         if not np.all(np.isfinite(shat)):
             return _fail(k - 1, "non-finite half-step")
-        t = op.matvec(shat)
+        t = yield shat
         matvecs += 1
         tt = float(t @ t)
         if not np.isfinite(tt) or tt == 0.0:

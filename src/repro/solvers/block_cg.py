@@ -36,8 +36,28 @@ from repro.solvers.base import (
     operator_matmat,
     quiet_fp_errors,
 )
+from repro.solvers.bicgstab import bicgstab
+from repro.solvers.cg import cg
+from repro.solvers.gmres import gmres
 
-__all__ = ["BlockSolverResult", "block_cg", "solve_many"]
+__all__ = ["BlockSolverResult", "SINGLE_RHS_SOLVERS", "block_cg",
+           "single_rhs_solver", "solve_many"]
+
+#: The single-RHS solvers :func:`solve_many` and
+#: :func:`~repro.solvers.lockstep.solve_lockstep` accept by name.
+SINGLE_RHS_SOLVERS = {"cg": cg, "bicgstab": bicgstab, "gmres": gmres}
+
+
+def single_rhs_solver(solver: Union[str, Callable[..., SolverResult]]
+                      ) -> Callable[..., SolverResult]:
+    """Look a solver name up in :data:`SINGLE_RHS_SOLVERS`; a callable
+    passes through unchanged."""
+    if not isinstance(solver, str):
+        return solver
+    if solver not in SINGLE_RHS_SOLVERS:
+        raise KeyError(f"solver must be one of {sorted(SINGLE_RHS_SOLVERS)}, "
+                       f"got {solver!r}")
+    return SINGLE_RHS_SOLVERS[solver]
 
 
 @dataclass
@@ -262,16 +282,7 @@ def solve_many(
     """
     op = as_operator(A)
     B = check_block_system(op, B)
-    if isinstance(solver, str):
-        from repro.solvers.bicgstab import bicgstab
-        from repro.solvers.cg import cg
-        from repro.solvers.gmres import gmres
-
-        registry = {"cg": cg, "bicgstab": bicgstab, "gmres": gmres}
-        if solver not in registry:
-            raise KeyError(
-                f"solver must be one of {sorted(registry)}, got {solver!r}")
-        solver = registry[solver]
+    solver = single_rhs_solver(solver)
     X0 = check_initial_guess(X0, B.shape, name="X0", copy=False)
     results: List[SolverResult] = []
     for j in range(B.shape[1]):

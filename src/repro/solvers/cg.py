@@ -3,6 +3,7 @@
 Implemented exactly as the paper's Code 1 specialises for CG: one SpMV per
 iteration (on the direction vector ``p``), recursive residual update, optional
 preconditioner.  All vector arithmetic is FP64; the operator may quantise.
+The body is a step generator (:func:`~repro.solvers.base.step_solver`).
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ import numpy as np
 from repro.solvers.base import (
     ConvergenceCriterion,
     SolverResult,
-    as_operator,
-    check_initial_guess,
-    check_system,
-    quiet_fp_errors,
+    krylov_start,
+    step_solver,
 )
 
 __all__ = ["cg"]
 
 
-@quiet_fp_errors
+@step_solver
 def cg(
     A,
     b,
@@ -54,31 +53,10 @@ def cg(
     -------
     SolverResult
     """
-    op = as_operator(A)
-    b = check_system(op, b)
-    crit = criterion or ConvergenceCriterion()
-    n = b.size
-    x0 = check_initial_guess(x0, (n,))
-    x = np.zeros(n) if x0 is None else x0
-
-    matvecs = 0
-    if x0 is None or not np.any(x):
-        r = b.copy()
-    else:
-        r = b - op.matvec(x)
-        matvecs += 1
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolverResult(x=np.zeros(n), converged=True, iterations=0,
-                            residual_norm=0.0, residual_history=[0.0],
-                            matvecs=matvecs)
-    threshold = crit.threshold(b_norm)
-    r_norm = float(np.linalg.norm(r))
-    history = [r_norm]
-    if r_norm < threshold:
-        return SolverResult(x=x, converged=True, iterations=0,
-                            residual_norm=r_norm, residual_history=history,
-                            matvecs=matvecs)
+    start = yield from krylov_start(A, b, x0, criterion)
+    if isinstance(start, SolverResult):
+        return start
+    x, r, r_norm, history, threshold, crit, matvecs = start
 
     z = preconditioner(r) if preconditioner else r
     p = z.copy()
@@ -89,7 +67,7 @@ def cg(
             return SolverResult(x=x, converged=False, iterations=k - 1,
                                 residual_norm=r_norm, residual_history=history,
                                 breakdown="non-finite direction", matvecs=matvecs)
-        q = op.matvec(p)
+        q = yield p
         matvecs += 1
         pq = float(p @ q)
         if not np.isfinite(pq) or pq == 0.0:

@@ -4,7 +4,8 @@ The paper restricts its evaluation to the two Krylov solvers of Section II-B;
 GMRES(m) is included here because it is the standard choice for nonsymmetric
 systems and exercises the same quantised-SpMV operator interface (one SpMV
 per inner iteration), making it a natural ablation: ReFloat's per-iteration
-error injection interacts differently with a long recurrence.
+error injection interacts differently with a long recurrence.  The body is
+a step generator (:func:`~repro.solvers.base.step_solver`).
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ import numpy as np
 from repro.solvers.base import (
     ConvergenceCriterion,
     SolverResult,
-    as_operator,
     check_initial_guess,
     check_system,
-    quiet_fp_errors,
+    step_solver,
 )
 
 __all__ = ["gmres"]
 
 
-@quiet_fp_errors
+@step_solver
 def gmres(
     A,
     b,
@@ -46,8 +46,7 @@ def gmres(
     not the exact matrix the estimate models), the solve restarts from the
     true residual instead of returning an optimistic ``residual_norm``.
     """
-    op = as_operator(A)
-    b = check_system(op, b)
+    b = check_system(A, b)
     crit = criterion or ConvergenceCriterion()
     if restart < 1:
         raise ValueError(f"restart must be >= 1, got {restart}")
@@ -64,7 +63,7 @@ def gmres(
     matvecs = 0
     iterations = 0
     if np.any(x):
-        r = b - op.matvec(x)
+        r = b - (yield x)
         matvecs += 1
     else:
         r = b.copy()
@@ -94,7 +93,7 @@ def gmres(
         cycle_r_norm = r_norm  # true residual of x, which the inner loop
         inner_done = 0         # does not touch until the cycle-end update
         for j in range(m):
-            w = op.matvec(Q[:, j])
+            w = yield Q[:, j]
             matvecs += 1
             if not np.all(np.isfinite(w)):
                 # x is still the cycle-start iterate, so its true residual
@@ -145,7 +144,7 @@ def gmres(
             # a stagnant estimate): the iterate cannot be updated.  The
             # reported norm is still the *true* residual of the current
             # iterate, never the (possibly zero) Givens estimate.
-            r_norm = float(np.linalg.norm(b - op.matvec(x)))
+            r_norm = float(np.linalg.norm(b - (yield x)))
             matvecs += 1
             history[-1] = r_norm
             return SolverResult(x=x, converged=False, iterations=iterations,
@@ -157,7 +156,7 @@ def gmres(
         x = x + Q[:, :j] @ y
         # True residual: the Givens estimate above is only a cycle-ending
         # heuristic; convergence is re-judged from this at the loop top.
-        r = b - op.matvec(x)
+        r = b - (yield x)
         matvecs += 1
         r_norm = float(np.linalg.norm(r))
         history[-1] = r_norm  # replace estimate with the true restart residual

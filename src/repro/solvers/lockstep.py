@@ -1,4 +1,4 @@
-"""Lockstep gang batching: many single-RHS solves, one ``matmat`` per round.
+"""Lockstep batching: many single-RHS solves, one ``matmat`` per round.
 
 The service coalescer (:mod:`repro.service`) needs the impossible-sounding
 combination the block solvers cannot give it: the *batching economy* of one
@@ -7,28 +7,25 @@ results **bit-identical** to running each request through the plain
 single-vector solver on its own.  ``block_cg``'s k-dimensional search space
 changes the numerics, so it can never be the transparent fast path.
 
-:func:`solve_lockstep` gets both by construction.  Each column runs the
-*unmodified* registered single-vector solver (``cg``/``bicgstab``/...) on
-its own worker thread against a proxy operator whose ``matvec`` rendezvous
-at a shared gate.  Once every still-active column has submitted its vector,
-one :func:`~repro.solvers.base.operator_matmat` over the stacked columns
-serves the whole round, and each column receives exactly its output column
-back.  Every platform operator's ``matmat`` is pinned bit-identical per
-column to its ``matvec`` (see :class:`~repro.solvers.base.MatrixOperator`),
-so each column's iterates, iteration count, residual history and breakdown
-behaviour are bit-identical to the serial :func:`~repro.solvers.block_cg.
-solve_many` path — while the engine sees one contraction per round instead
-of ``k``.
+:func:`solve_lockstep` gets both by construction.  Every registered
+single-vector solver (``cg``/``bicgstab``/``gmres``) is one step generator
+(:func:`~repro.solvers.base.step_solver`) that yields each vector it needs
+multiplied.  This loop runs one generator per column; each round stacks the
+vectors the active columns wait on into one
+:func:`~repro.solvers.base.operator_matmat` and sends every column its own
+output column.  Every platform operator's ``matmat`` is pinned
+bit-identical per column to its ``matvec``, so each column's iterates,
+iteration count, residual history and breakdown are bit-identical to the
+serial :func:`~repro.solvers.block_cg.solve_many` path, while the engine
+sees one contraction per round instead of ``k``.
 
-Columns are allowed heterogeneous lifetimes: a column that converges,
-breaks down, or exits before its first apply simply leaves the gang, and
-later rounds batch only the survivors (``bicgstab``'s two applies per
-iteration stay in lockstep with themselves the same way).
+A column that converges, breaks down or exits before its first apply leaves
+the loop, and later rounds stack only the survivors.  Everything runs on the
+calling thread, and an operator or solver error propagates straight out.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -40,101 +37,20 @@ from repro.solvers.base import (
     check_block_system,
     check_initial_guess,
     operator_matmat,
+    quiet_fp_errors,
 )
+from repro.solvers.block_cg import SINGLE_RHS_SOLVERS, single_rhs_solver
 
 __all__ = ["LOCKSTEP_SOLVERS", "solve_lockstep"]
 
-#: Inner single-RHS solvers the gang can drive by name.  The solve
+#: Inner single-RHS solvers the lockstep loop can drive by name.  The solve
 #: service validates vector jobs against this set up front, so an
 #: unsupported solver is the submitting request's error, not a batch
 #: failure for everyone coalesced with it.
-LOCKSTEP_SOLVERS = ("cg", "bicgstab", "gmres")
+LOCKSTEP_SOLVERS = tuple(SINGLE_RHS_SOLVERS)
 
 
-class _GateAborted(RuntimeError):
-    """Internal: the shared operator application failed; unwind the column
-    threads so the original error can propagate from the gang call."""
-
-
-class _LockstepGate:
-    """The rendezvous point: collects one vector per active column, applies
-    the operator once, and demuxes the output columns."""
-
-    def __init__(self, op, n_cols: int):
-        self._op = op
-        self._cond = threading.Condition()
-        self._active = n_cols
-        self._pending: Dict[int, np.ndarray] = {}
-        self._outputs: Dict[int, np.ndarray] = {}
-        self._round = 0
-        self.rounds = 0
-        self.round_widths: List[int] = []
-        self.error: Optional[BaseException] = None
-
-    def apply(self, col: int, x: np.ndarray) -> np.ndarray:
-        with self._cond:
-            if self.error is not None:
-                raise _GateAborted()
-            token = self._round
-            self._pending[col] = x
-            if len(self._pending) == self._active:
-                self._flush()
-            else:
-                while self._round == token and self.error is None:
-                    self._cond.wait()
-            if self.error is not None:
-                raise _GateAborted()
-            return self._outputs.pop(col)
-
-    def leave(self, col: int) -> None:
-        """A column's solver returned (or raised): shrink the gang.
-
-        If every remaining active column is already waiting at the gate,
-        this departure is what completes the round — flush it.
-        """
-        with self._cond:
-            self._active -= 1
-            if (self.error is None and self._pending
-                    and len(self._pending) == self._active):
-                self._flush()
-
-    def _flush(self) -> None:
-        # Caller holds the lock; every other active column is parked in
-        # wait(), so doing the batched apply under the lock serialises
-        # nothing that could otherwise run.
-        cols = sorted(self._pending)
-        X = np.stack([self._pending[c] for c in cols], axis=1)
-        try:
-            Y = operator_matmat(self._op, X)
-        except BaseException as exc:  # surface from the gang call itself
-            self.error = exc
-            self._pending.clear()
-            self._cond.notify_all()
-            return
-        for i, c in enumerate(cols):
-            # Contiguous per-column copies: the solver's vector arithmetic
-            # must see exactly what a standalone matvec would have returned.
-            self._outputs[c] = np.ascontiguousarray(Y[:, i])
-        self._pending.clear()
-        self.round_widths.append(len(cols))
-        self._round += 1
-        self.rounds += 1
-        self._cond.notify_all()
-
-
-class _GangColumn:
-    """One column's operator proxy: ``matvec`` rendezvous at the gate."""
-
-    def __init__(self, gate: _LockstepGate, col: int, shape: tuple):
-        self._gate = gate
-        self._col = col
-        self.shape = shape
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._gate.apply(self._col,
-                                np.asarray(x, dtype=np.float64))
-
-
+@quiet_fp_errors
 def solve_lockstep(
     A,
     B,
@@ -144,7 +60,7 @@ def solve_lockstep(
     batch_stats: Optional[dict] = None,
     **kwargs,
 ) -> List[SolverResult]:
-    """Solve ``A x_j = b_j`` for every column of ``B``, gang-scheduled.
+    """Solve ``A x_j = b_j`` for every column of ``B``, in lockstep rounds.
 
     Parameters
     ----------
@@ -156,9 +72,9 @@ def solve_lockstep(
         duplicated or correlated columns are perfectly fine — columns never
         mix numerically.
     solver : str or callable
-        ``"cg"`` / ``"bicgstab"`` / ``"gmres"``, or any callable with the
-        ``solver(A, b, x0=..., criterion=..., **kwargs)`` convention.  Must
-        be a *single-vector* solver: each column runs it verbatim.
+        ``"cg"`` / ``"bicgstab"`` / ``"gmres"``, or one of those functions.
+        Other callables have no step generator to drive and raise
+        ``TypeError``.
     X0 : array_like of shape (n, k), optional
         Per-column initial guesses.
     criterion : ConvergenceCriterion, optional
@@ -168,7 +84,8 @@ def solve_lockstep(
         ``matmats`` is the number of batched applications the operator saw
         (serial execution would have paid ``sum(round_widths)`` matvecs).
     **kwargs
-        Forwarded to the underlying solver.
+        Forwarded to the underlying solver (e.g. ``preconditioner=``,
+        ``callback=``, ``restart=``), per column.
 
     Returns
     -------
@@ -177,51 +94,38 @@ def solve_lockstep(
     """
     op = as_operator(A)
     B = check_block_system(op, B)
-    if isinstance(solver, str):
-        from repro.solvers.bicgstab import bicgstab
-        from repro.solvers.cg import cg
-        from repro.solvers.gmres import gmres
-
-        registry = {"cg": cg, "bicgstab": bicgstab, "gmres": gmres}
-        if solver not in registry:
-            raise KeyError(
-                f"solver must be one of {sorted(registry)}, got {solver!r}")
-        solver = registry[solver]
+    steps = getattr(single_rhs_solver(solver), "steps", None)
+    if steps is None:
+        raise TypeError(
+            f"solve_lockstep drives the step-generator solvers "
+            f"{list(LOCKSTEP_SOLVERS)}; {solver!r} is not one of them")
     X0 = check_initial_guess(X0, B.shape, name="X0", copy=False)
     k = B.shape[1]
-    gate = _LockstepGate(op, k)
+    runs = [steps(op, B[:, j], x0=None if X0 is None else X0[:, j],
+                  criterion=criterion, **kwargs) for j in range(k)]
     results: List[Optional[SolverResult]] = [None] * k
-    errors: List[Optional[BaseException]] = [None] * k
+    pending: Dict[int, np.ndarray] = {}  # column -> vector it waits on
 
-    def column(j: int) -> None:
-        proxy = _GangColumn(gate, j, op.shape)
-        b = np.ascontiguousarray(B[:, j])
-        x0 = None if X0 is None else np.ascontiguousarray(X0[:, j])
+    def advance(j: int, product: Optional[np.ndarray]) -> None:
         try:
-            results[j] = solver(proxy, b, x0=x0, criterion=criterion,
-                                **kwargs)
-        except BaseException as exc:
-            errors[j] = exc
-        finally:
-            gate.leave(j)
+            pending[j] = runs[j].send(product)
+        except StopIteration as done:
+            results[j] = done.value
 
-    if k == 1:
-        column(0)  # no thread needed: a gang of one still rounds trivially
-    else:
-        threads = [threading.Thread(target=column, args=(j,),
-                                    name=f"lockstep-{j}", daemon=True)
-                   for j in range(k)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    if gate.error is not None:
-        raise gate.error
-    for exc in errors:
-        if exc is not None and not isinstance(exc, _GateAborted):
-            raise exc
+    for j in range(k):
+        advance(j, None)
+    widths: List[int] = []
+    while pending:
+        cols = list(pending)  # ascending: each round re-inserts in order
+        Y = operator_matmat(op, np.stack([pending.pop(j) for j in cols],
+                                         axis=1))
+        widths.append(len(cols))
+        for i, j in enumerate(cols):
+            # Contiguous per-column vectors: the solver's vector arithmetic
+            # must see exactly what a standalone matvec would have returned.
+            advance(j, np.ascontiguousarray(Y[:, i]))
     if batch_stats is not None:
         batch_stats["columns"] = k
-        batch_stats["matmats"] = gate.rounds
-        batch_stats["round_widths"] = list(gate.round_widths)
+        batch_stats["matmats"] = len(widths)
+        batch_stats["round_widths"] = widths
     return results  # type: ignore[return-value]

@@ -493,6 +493,19 @@ class TestOperatorMatmat:
                              for _ in range(3)])
         self._assert_columns_match(op, X)
 
+    @pytest.mark.parametrize("platform", ["refloat", "feinberg", "gpu"])
+    def test_single_column_matmat_byte_equal(self, rng, small_wathen,
+                                             platform):
+        from repro.operators import ExactOperator
+
+        make = {"refloat": ReFloatOperator, "feinberg": FeinbergOperator,
+                "gpu": ExactOperator}[platform]
+        op = make(small_wathen)
+        X = random_float_array(rng, small_wathen.shape[0])[:, None]
+        Y = op.matmat(X)
+        assert Y.shape == X.shape
+        assert Y[:, 0].tobytes() == op.matvec(X[:, 0]).tobytes()
+
     def test_noisy_matmat_sigma_zero(self, rng, small_spd):
         op = NoisyReFloatOperator(small_spd, sigma=0.0)
         X = np.column_stack([random_float_array(rng, small_spd.shape[0])

@@ -1,19 +1,29 @@
-"""Tests for the lockstep gang solver behind the service coalescer.
+"""Tests for the lockstep solver behind the service coalescer.
 
-The coalescer's bit-identity guarantee rests on ``solve_lockstep``: the
-unmodified single-RHS solver runs once per column, every column's matvec
-rendezvous at a shared gate, and one ``operator_matmat`` serves each
-round.  These tests pin the guarantee (outputs exactly equal to
+The coalescer's bit-identity guarantee rests on ``solve_lockstep``: each
+column runs the registered single-RHS solver's step generator, and one
+``operator_matmat`` over the vectors the active columns wait on serves
+each round.  These tests pin the guarantee (outputs exactly equal to
 :func:`solve_many`, column by column) and the batching economy (one
-matmat per gang round instead of one matvec per column per round).
+matmat per round instead of one matvec per column per round).
 """
+
+import threading
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.api.registry import SOLVER_REGISTRY
 from repro.experiments.common import platform_operator
-from repro.solvers import solve_lockstep, solve_many
+from repro.solvers import (
+    cg,
+    jacobi,
+    solve_lockstep,
+    solve_many,
+    ssor_preconditioner,
+)
 from repro.sparse.gallery import build_matrix
 
 
@@ -38,6 +48,17 @@ class _CountingOperator:
 def _rhs_block(n, k, seed=11):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, k))
+
+
+def _assert_identical(gang, serial):
+    assert len(gang) == len(serial)
+    for got, ref in zip(gang, serial):
+        assert np.array_equal(got.x, ref.x)
+        assert got.converged == ref.converged
+        assert got.iterations == ref.iterations
+        assert got.matvecs == ref.matvecs
+        assert got.breakdown == ref.breakdown
+        assert got.residual_history == ref.residual_history
 
 
 @pytest.fixture
@@ -83,6 +104,85 @@ class TestBitIdentity:
         serial = solve_many(spd_op, B, solver="cg", X0=X0)
         for got, ref in zip(gang, serial):
             assert np.array_equal(got.x, ref.x)
+
+
+    def test_gmres_restart_cycles(self, spd_op):
+        # restart far below the iteration count: every cycle-end true
+        # residual apply also goes through the lockstep rounds.
+        B = _rhs_block(spd_op.shape[0], 3)
+        serial = solve_many(spd_op, B, solver="gmres", restart=5)
+        stats = {}
+        gang = solve_lockstep(spd_op, B, solver="gmres", restart=5,
+                              batch_stats=stats)
+        _assert_identical(gang, serial)
+        assert all(r.iterations > 5 for r in serial)
+        assert spd_op.n_matmats == stats["matmats"]
+        assert spd_op.n_matvecs == sum(r.matvecs for r in serial)
+
+    def test_bicgstab_nonzero_initial_guess(self, spd_op):
+        B = _rhs_block(spd_op.shape[0], 3)
+        X0 = _rhs_block(spd_op.shape[0], 3, seed=5)
+        stats = {}
+        gang = solve_lockstep(spd_op, B, solver="bicgstab", X0=X0,
+                              batch_stats=stats)
+        _assert_identical(gang, solve_many(spd_op, B, solver="bicgstab",
+                                           X0=X0))
+        # The initial-residual apply is the first round, all columns wide.
+        assert stats["round_widths"][0] == 3
+
+    def test_zero_rhs_column_leaves_before_first_apply(self, spd_op):
+        B = _rhs_block(spd_op.shape[0], 3)
+        B[:, 1] = 0.0
+        stats = {}
+        gang = solve_lockstep(spd_op, B, solver="cg", batch_stats=stats)
+        _assert_identical(gang, solve_many(spd_op, B, solver="cg"))
+        assert gang[1].matvecs == 0 and gang[1].converged
+        assert max(stats["round_widths"]) == 2
+
+    def test_preconditioner_and_callback_per_column(self, spd_op):
+        B = _rhs_block(spd_op.shape[0], 3)
+        M = ssor_preconditioner(spd_op._A)
+        calls = {"gang": [], "serial": []}
+
+        def recorder(name):
+            return lambda k, x, r_norm: calls[name].append((k, r_norm))
+
+        gang = solve_lockstep(spd_op, B, solver="cg", preconditioner=M,
+                              callback=recorder("gang"))
+        serial = solve_many(spd_op, B, solver="cg", preconditioner=M,
+                            callback=recorder("serial"))
+        _assert_identical(gang, serial)
+        plain = solve_many(spd_op, B, solver="cg")
+        assert [r.iterations for r in gang] != [r.iterations for r in plain]
+        assert sorted(calls["gang"]) == sorted(calls["serial"])
+        assert len(calls["gang"]) == sum(r.iterations for r in gang)
+
+
+class TestThreadless:
+    def test_starts_no_thread(self, spd_op, monkeypatch):
+        def refuse(self):
+            raise AssertionError("solve_lockstep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        B = _rhs_block(spd_op.shape[0], 4)
+        gang = solve_lockstep(spd_op, B, solver="bicgstab")
+        _assert_identical(gang, solve_many(spd_op, B, solver="bicgstab"))
+
+    def test_overflowing_column_emits_no_warning(self):
+        # CG on a nonsymmetric matrix with a huge right-hand side drives
+        # the iterates through FP overflow until a breakdown check fires;
+        # the warnings along the way must stay silenced.
+        rng = np.random.default_rng(0)
+        op = _CountingOperator(sp.csr_matrix(rng.standard_normal((8, 8))))
+        B = np.stack([rng.standard_normal(8) * 1e150,
+                      rng.standard_normal(8)], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gang = solve_lockstep(op, B, solver="cg")
+            single = cg(op, B[:, 0])
+        assert gang[0].breakdown is not None
+        assert single.breakdown == gang[0].breakdown
+        assert np.array_equal(single.x, gang[0].x)
 
 
 class TestBatchingEconomy:
@@ -135,6 +235,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="X0"):
             solve_lockstep(spd_op, B, solver="cg",
                            X0=np.zeros((spd_op.shape[0], 3)))
+
+    def test_rejects_solver_without_step_generator(self, spd_op):
+        B = _rhs_block(spd_op.shape[0], 2)
+        with pytest.raises(TypeError, match="jacobi"):
+            solve_lockstep(spd_op, B, solver=jacobi)
+
+    def test_accepts_registered_solver_callable(self, spd_op):
+        B = _rhs_block(spd_op.shape[0], 2)
+        _assert_identical(solve_lockstep(spd_op, B, solver=cg),
+                          solve_many(spd_op, B, solver="cg"))
 
     def test_operator_failure_propagates(self):
         class Exploding:
